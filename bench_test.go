@@ -568,7 +568,7 @@ func BenchmarkServeRewardIngestionDrain(b *testing.B) {
 	b.ReportMetric(float64(st.TrainRuns)/float64(b.N), "trainRuns/drain")
 }
 
-// BenchmarkServeBatchRankHTTP measures the versioned protocol end to
+// BenchmarkServeBatchRankHTTP measures the batch protocol end to
 // end: a /v2/rank batch through the typed client (JSON encode, HTTP
 // round trip, server-side fan-out over the rank pool, JSON decode),
 // reported per job. Half the batch hits the hint cache, half takes the

@@ -6,7 +6,7 @@
 // daily pipeline for a few simulated days — producing a validated hint
 // table and a trained bandit — and then serves both: cached hints answer
 // steering queries for known templates, the bandit ranks everything else,
-// and /v1/reward telemetry trains the model continuously off the request
+// and /v2/reward telemetry trains the model continuously off the request
 // path. On SIGINT/SIGTERM the server drains the reward queue and, when
 // -model is set, persists the learner so a restart resumes from the
 // learned state.
@@ -117,7 +117,7 @@ func main() {
 	templates := flag.Int("templates", 24, "bootstrap workload size (recurring job templates)")
 	bootstrapDays := flag.Int("bootstrap-days", 5, "simulated pipeline days to run before serving (0 = none)")
 	hintsPath := flag.String("hints", "", "load an additional SIS hint file into the cache")
-	modelPath := flag.String("model", "", "model snapshot path: loaded at startup if present, written on shutdown and POST /v1/model/snapshot")
+	modelPath := flag.String("model", "", "model snapshot path: loaded at startup if present, written on shutdown and POST /v2/model/snapshot")
 	shards := flag.Int("shards", 0, "hint cache shard count (0 = default)")
 	queue := flag.Int("queue", 0, "reward ingestion queue size (0 = default)")
 	workers := flag.Int("workers", 0, "reward ingestion workers (0 = default 1; applies serialize on the learner)")

@@ -84,16 +84,20 @@ func main() {
 	}
 	var events []string
 	for i := 0; i < 96; i++ {
-		resp, err := cl.Rank(ctx, api.RankRequest{
-			TemplateHash: api.TemplateHash(tmplBandit), Span: []int{5, 60},
+		resp, err := cl.RankBatch(ctx, []api.RankRequest{
+			{TemplateHash: api.TemplateHash(tmplBandit), Span: []int{5, 60}},
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		events = append(events, resp.EventID)
+		res := resp.Results[0]
+		if res.Error != nil {
+			log.Fatal(res.Error)
+		}
+		events = append(events, res.EventID)
 		v := 0.5 + 0.4*float64(i%2) // alternating observed speedups
 		if _, err := cl.RewardBatch(ctx, []api.RewardEvent{
-			{EventID: resp.EventID, Reward: &v},
+			{EventID: res.EventID, Reward: &v},
 		}); err != nil {
 			log.Fatal(err)
 		}

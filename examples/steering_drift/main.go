@@ -168,11 +168,15 @@ func observe(ctx context.Context, cl *client.Client, hash uint64, rewards []floa
 
 // source ranks one job for the template and returns which path served.
 func source(ctx context.Context, cl *client.Client, hash uint64) string {
-	resp, err := cl.Rank(ctx, api.RankRequest{TemplateHash: api.TemplateHash(hash), Span: []int{5, 60}})
+	resp, err := cl.RankBatch(ctx, []api.RankRequest{{TemplateHash: api.TemplateHash(hash), Span: []int{5, 60}}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	return resp.Source
+	res := resp.Results[0]
+	if res.Error != nil {
+		log.Fatal(res.Error)
+	}
+	return res.Source
 }
 
 // printTable dumps the admin view (GET /v2/quarantine).

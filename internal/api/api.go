@@ -1,21 +1,16 @@
-// Package api defines the versioned wire protocol of QO-Advisor's
-// online steering service: every request and response type the HTTP
-// surface speaks, a structured error envelope with machine-readable
-// codes, and the batch /v2 shapes. The package is the single contract
+// Package api defines the wire protocol of QO-Advisor's online
+// steering service: every request and response type the HTTP surface
+// speaks, a structured error envelope with machine-readable codes, and
+// the batch-first /v2 shapes. The package is the single contract
 // shared by the server (internal/serve), the typed Go client
 // (internal/api/client), the CLI, and the examples — it depends only on
 // the standard library so any binary can embed it.
 //
-// Protocol versions:
-//
-//   - v1 — the original single-job surface (/v1/rank, /v1/reward,
-//     /v1/hints, /v1/stats, /v1/model/snapshot). Stable; served as thin
-//     adapters over the v2 handlers. Success shapes are unchanged from
-//     the pre-versioned protocol; errors now use the structured
-//     envelope.
-//   - v2 — the batch-first surface (/v2/rank, /v2/reward, /v2/healthz,
-//     /v2/stats). Every v2 response carries the hint-table generation
-//     and the request ID assigned (or propagated) by the server.
+// The protocol has one version, v2: every route lives under /v2 (plus
+// the unversioned Prometheus /metrics), rank and reward are batch
+// calls, and every JSON response carries the request ID assigned (or
+// propagated) by the server. Any other path answers the not_found
+// envelope.
 package api
 
 import (
@@ -25,26 +20,20 @@ import (
 	"strconv"
 )
 
-// Versions of the HTTP surface, as path prefixes.
-const (
-	V1 = "v1"
-	V2 = "v2"
-)
-
 // Route paths. Clients should use these constants rather than spelling
 // paths so protocol moves stay one-line changes.
 const (
-	RouteV1Rank     = "/v1/rank"
-	RouteV1Reward   = "/v1/reward"
-	RouteV1Hints    = "/v1/hints"
-	RouteV1Stats    = "/v1/stats"
-	RouteV1Snapshot = "/v1/model/snapshot"
-
 	RouteV2Rank    = "/v2/rank"
 	RouteV2Reward  = "/v2/reward"
 	RouteV2Healthz = "/v2/healthz"
 	RouteV2Stats   = "/v2/stats"
 	RouteV2Version = "/v2/version"
+
+	// RouteV2Hints installs a SIS exchange-format hint table (the
+	// pipeline rollover). RouteV2Snapshot streams the model's persisted
+	// form on GET and saves it to the server's snapshot path on POST.
+	RouteV2Hints    = "/v2/hints"
+	RouteV2Snapshot = "/v2/model/snapshot"
 
 	// RouteV2Quarantine is the drift-safeguard admin surface: GET lists
 	// the durable quarantine table (any node), POST applies a manual
@@ -213,11 +202,6 @@ type RewardEvent struct {
 	TemplateHash *TemplateHash `json:"templateHash,omitempty"`
 }
 
-// RewardResponse answers /v1/reward.
-type RewardResponse struct {
-	Status string `json:"status"`
-}
-
 // BatchRewardRequest is the /v2/reward payload: a batch of telemetry
 // events fed to the ingestion queue in one call.
 type BatchRewardRequest struct {
@@ -287,14 +271,14 @@ type QuarantineListResponse struct {
 	Templates []QuarantineEntry `json:"templates"`
 }
 
-// HintsInstallResponse answers POST /v1/hints (the pipeline rollover).
+// HintsInstallResponse answers POST /v2/hints (the pipeline rollover).
 type HintsInstallResponse struct {
 	Installed  int    `json:"installed"`
 	Day        int    `json:"day"`
 	Generation uint64 `json:"generation"`
 }
 
-// SnapshotSaveResponse answers POST /v1/model/snapshot.
+// SnapshotSaveResponse answers POST /v2/model/snapshot.
 type SnapshotSaveResponse struct {
 	Path  string `json:"path"`
 	Bytes int64  `json:"bytes"`
@@ -398,7 +382,7 @@ type RouteStats struct {
 	P90Micros   int64 `json:"p90Micros"`
 	P99Micros   int64 `json:"p99Micros"`
 	P999Micros  int64 `json:"p999Micros"`
-	// Hist is the route's raw latency histogram (v2 only, additive),
+	// Hist is the route's raw latency histogram (additive),
 	// the mergeable source the percentiles above were estimated from.
 	Hist *Hist `json:"hist,omitempty"`
 }
@@ -439,9 +423,10 @@ type VersionResponse struct {
 	RequestID string `json:"requestId,omitempty"`
 }
 
-// StatsResponse answers /v1/stats and /v2/stats. The v1 field set is
-// unchanged from the pre-versioned protocol; v2 additionally populates
-// RequestID and the per-route Routes metrics.
+// StatsResponse answers /v2/stats: the serving counters, per-route and
+// per-stage latency, and one block per optional subsystem (absent when
+// the subsystem is off). Incident bundles snapshot the same document
+// into stats.json.
 type StatsResponse struct {
 	UptimeSec    float64     `json:"uptimeSec"`
 	RankRequests int64       `json:"rankRequests"`
@@ -462,24 +447,23 @@ type StatsResponse struct {
 	RequestID string                `json:"requestId,omitempty"`
 	Routes    map[string]RouteStats `json:"routes,omitempty"`
 	// Stages reports per-stage latency distributions from the serving
-	// path instrumentation (v2 only, additive).
+	// path instrumentation.
 	Stages map[string]LatencySummary `json:"stages,omitempty"`
-	// Version identifies the node's build (v2 only, additive).
+	// Version identifies the node's build.
 	Version *VersionInfo `json:"version,omitempty"`
-	// Drift reports the drift-safeguard state (v2 only, additive; the
-	// /v1/stats field set is unchanged).
+	// Drift reports the drift-safeguard state.
 	Drift *DriftStats `json:"drift,omitempty"`
-	// Audit reports the journal-audit engine's counters (v2 only,
-	// additive; present once an audit query has run on this node).
+	// Audit reports the journal-audit engine's counters (present once
+	// an audit query has run on this node).
 	Audit *AuditStats `json:"audit,omitempty"`
 	// SLO reports the node's service-level objectives and their rolling
-	// error-budget burn rates (v2 only, additive).
+	// error-budget burn rates.
 	SLO *SLOStats `json:"slo,omitempty"`
 	// Traces reports the flight recorder's tail-retention counters
-	// (v2 only, additive; present when retention is enabled).
+	// (present when retention is enabled).
 	Traces *TraceStats `json:"traces,omitempty"`
 	// Incidents reports the incident engine's trigger and capture
-	// counters (v2 only, additive; present when -incident-dir is set).
+	// counters (present when -incident-dir is set).
 	Incidents *IncidentStats `json:"incidents,omitempty"`
 }
 

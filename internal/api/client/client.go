@@ -20,7 +20,7 @@ import (
 	"qoadvisor/internal/api"
 )
 
-// Client talks the versioned steering protocol to one server.
+// Client talks the /v2 steering protocol to one server.
 // Zero-value is unusable; use New. Client is safe for concurrent use.
 type Client struct {
 	base    string
@@ -74,9 +74,10 @@ func New(base string, opts ...Option) *Client {
 }
 
 // do runs one protocol call: marshal in (nil = no body), retry
-// queue_full 503s, decode either the typed response into out or the
-// error envelope into an *api.Error. The request body is re-sent from
-// the encoded bytes on each retry, so retries are never partial.
+// queue_full 503s, decode either the typed response into out (which
+// must be non-nil) or the error envelope into an *api.Error. The
+// request body is re-sent from the encoded bytes on each retry, so
+// retries are never partial.
 func (c *Client) do(ctx context.Context, method, path, contentType string, in, out any) error {
 	var payload []byte
 	if in != nil {
@@ -89,10 +90,6 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, in, o
 		}
 	}
 	return c.doRaw(ctx, method, path, contentType, payload, func(resp *http.Response) error {
-		if out == nil {
-			io.Copy(io.Discard, resp.Body)
-			return nil
-		}
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			return fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
 		}
@@ -180,13 +177,6 @@ func decodeErrorBytes(status int, body []byte) *api.Error {
 	return &e
 }
 
-// Rank steers one job via the stable v1 single-job endpoint.
-func (c *Client) Rank(ctx context.Context, job api.RankRequest) (api.RankResponse, error) {
-	var out api.RankResponse
-	err := c.do(ctx, http.MethodPost, api.RouteV1Rank, "", job, &out)
-	return out, err
-}
-
 // RankBatch steers up to api.MaxRankBatch jobs in one /v2/rank call.
 // Per-job failures ride inside Results; only transport- or batch-level
 // problems surface as the returned error.
@@ -212,13 +202,6 @@ func (c *Client) RankAll(ctx context.Context, jobs []api.RankRequest) ([]api.Ran
 	return results, nil
 }
 
-// Reward reports one event's reward via v1. A saturated queue (503) is
-// retried per the client's retry policy before the error is returned.
-func (c *Client) Reward(ctx context.Context, eventID string, value float64) error {
-	return c.do(ctx, http.MethodPost, api.RouteV1Reward, "",
-		api.RewardEvent{EventID: eventID, Reward: &value}, nil)
-}
-
 // RewardBatch feeds a telemetry batch to /v2/reward. The transport
 // retries whole-batch 503s (nothing was queued in that case); per-event
 // rejections are returned in the response for the caller to inspect.
@@ -229,15 +212,15 @@ func (c *Client) RewardBatch(ctx context.Context, events []api.RewardEvent) (api
 }
 
 // InstallHints uploads a SIS exchange-format hint file (the pipeline
-// rollover). The body is read fully up front so 503 retries can replay
-// it.
+// rollover, POST /v2/hints). The body is read fully up front so 503
+// retries can replay it.
 func (c *Client) InstallHints(ctx context.Context, hintFile io.Reader) (api.HintsInstallResponse, error) {
 	payload, err := io.ReadAll(hintFile)
 	if err != nil {
 		return api.HintsInstallResponse{}, fmt.Errorf("client: reading hint file: %w", err)
 	}
 	var out api.HintsInstallResponse
-	err = c.doRaw(ctx, http.MethodPost, api.RouteV1Hints, "text/plain", payload, func(resp *http.Response) error {
+	err = c.doRaw(ctx, http.MethodPost, api.RouteV2Hints, "text/plain", payload, func(resp *http.Response) error {
 		return json.NewDecoder(resp.Body).Decode(&out)
 	})
 	return out, err
@@ -314,23 +297,10 @@ func (c *Client) Version(ctx context.Context) (api.VersionResponse, error) {
 	return out, err
 }
 
-// Snapshot streams the model's persisted form from the server. The
-// caller must Close the returned reader.
+// Snapshot streams the model's persisted form from the server
+// (GET /v2/model/snapshot). The caller must Close the returned reader.
 func (c *Client) Snapshot(ctx context.Context) (io.ReadCloser, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+api.RouteV1Snapshot, nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: snapshot: %w", err)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: snapshot: %w", err)
-	}
-	if resp.StatusCode >= 400 {
-		apiErr := decodeError(resp)
-		resp.Body.Close()
-		return nil, apiErr
-	}
-	return resp.Body, nil
+	return c.stream(ctx, api.RouteV2Snapshot, "snapshot")
 }
 
 // BootstrapSnapshot streams the primary's replication bootstrap
@@ -338,13 +308,20 @@ func (c *Client) Snapshot(ctx context.Context) (io.ReadCloser, error) {
 // embedded WAL watermark is where a follower starts tailing. The
 // caller must Close the returned reader.
 func (c *Client) BootstrapSnapshot(ctx context.Context) (io.ReadCloser, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+api.RouteV2WALSnapshot, nil)
+	return c.stream(ctx, api.RouteV2WALSnapshot, "bootstrap snapshot")
+}
+
+// stream issues a single-attempt GET and hands back the body of a 2xx
+// answer for the caller to consume (and Close); an error status is
+// decoded into *api.Error. what prefixes transport errors.
+func (c *Client) stream(ctx context.Context, path, what string) (io.ReadCloser, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
-		return nil, fmt.Errorf("client: bootstrap snapshot: %w", err)
+		return nil, fmt.Errorf("client: %s: %w", what, err)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("client: bootstrap snapshot: %w", err)
+		return nil, fmt.Errorf("client: %s: %w", what, err)
 	}
 	if resp.StatusCode >= 400 {
 		apiErr := decodeError(resp)
@@ -490,20 +467,7 @@ func (c *Client) Incident(ctx context.Context, id string) (api.IncidentResponse,
 // returned reader.
 func (c *Client) IncidentFile(ctx context.Context, id, name string) (io.ReadCloser, error) {
 	path := api.RouteV2Incidents + "/" + url.PathEscape(id) + "?file=" + url.QueryEscape(name)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: incident file: %w", err)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: incident file: %w", err)
-	}
-	if resp.StatusCode >= 400 {
-		apiErr := decodeError(resp)
-		resp.Body.Close()
-		return nil, apiErr
-	}
-	return resp.Body, nil
+	return c.stream(ctx, path, "incident file")
 }
 
 // TriggerIncident captures a diagnostic bundle now (POST /v2/incidents),
@@ -516,9 +480,9 @@ func (c *Client) TriggerIncident(ctx context.Context) (api.IncidentResponse, err
 }
 
 // SaveSnapshot asks the server to persist its model to the configured
-// snapshot path.
+// snapshot path (POST /v2/model/snapshot).
 func (c *Client) SaveSnapshot(ctx context.Context) (api.SnapshotSaveResponse, error) {
 	var out api.SnapshotSaveResponse
-	err := c.do(ctx, http.MethodPost, api.RouteV1Snapshot, "", nil, &out)
+	err := c.do(ctx, http.MethodPost, api.RouteV2Snapshot, "", nil, &out)
 	return out, err
 }

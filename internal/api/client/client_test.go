@@ -21,8 +21,8 @@ import (
 )
 
 // TestAPIConformanceClientEndToEnd drives every client method against a
-// real steering server: install hints, health, batch rank, reward (v1
-// and v2 batch), stats, snapshot.
+// real steering server: install hints, health, batch rank, reward
+// batches, stats, snapshot.
 func TestAPIConformanceClientEndToEnd(t *testing.T) {
 	cat := rules.NewCatalog()
 	srv := serve.New(serve.Config{Catalog: cat, Seed: 17, TrainEvery: 2})
@@ -74,9 +74,10 @@ func TestAPIConformanceClientEndToEnd(t *testing.T) {
 		t.Fatalf("result 1 = %+v, want bandit event", ev)
 	}
 
-	// v1 reward through the client, then a v2 batch with one unknown.
-	if err := c.Reward(ctx, ev.EventID, 1.2); err != nil {
-		t.Fatal(err)
+	// A single-event reward, then a batch with one unknown.
+	first := 1.2
+	if rb, err := c.RewardBatch(ctx, []api.RewardEvent{{EventID: ev.EventID, Reward: &first}}); err != nil || rb.Queued != 1 {
+		t.Fatalf("single reward = %+v, %v", rb, err)
 	}
 	val := 0.5
 	rb, err := c.RewardBatch(ctx, []api.RewardEvent{
@@ -120,7 +121,9 @@ func TestClientTypedError(t *testing.T) {
 	defer ts.Close()
 	c := client.New(ts.URL)
 
-	_, err := c.Rank(context.Background(), api.RankRequest{TemplateHash: 1, Span: []int{}})
+	// An empty batch is a batch-level error: a 400 envelope, not a
+	// per-job result.
+	_, err := c.RankBatch(context.Background(), nil)
 	var apiErr *api.Error
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("error = %T %v, want *api.Error", err, err)
@@ -140,14 +143,15 @@ func TestClientRetriesOn503(t *testing.T) {
 			return
 		}
 		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(api.RewardResponse{Status: "queued"})
+		json.NewEncoder(w).Encode(api.BatchRewardResponse{Queued: 1})
 	})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
 	c := client.New(ts.URL, client.WithRetries(3, time.Millisecond))
-	if err := c.Reward(context.Background(), "ev1", 1.0); err != nil {
-		t.Fatalf("reward after retries: %v", err)
+	v := 1.0
+	if rb, err := c.RewardBatch(context.Background(), []api.RewardEvent{{EventID: "ev1", Reward: &v}}); err != nil || rb.Queued != 1 {
+		t.Fatalf("reward after retries: %+v, %v", rb, err)
 	}
 	if calls.Load() != 3 {
 		t.Errorf("server saw %d calls, want 3 (2 x 503 + success)", calls.Load())
@@ -166,7 +170,8 @@ func TestClientRetryBudgetExhausted(t *testing.T) {
 	defer ts.Close()
 
 	c := client.New(ts.URL, client.WithRetries(2, time.Millisecond))
-	err := c.Reward(context.Background(), "ev1", 1.0)
+	v := 1.0
+	_, err := c.RewardBatch(context.Background(), []api.RewardEvent{{EventID: "ev1", Reward: &v}})
 	var apiErr *api.Error
 	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeQueueFull {
 		t.Fatalf("error = %v, want queue_full after exhausted retries", err)
@@ -254,11 +259,12 @@ func TestClientWALStatsPassthrough(t *testing.T) {
 	ctx := context.Background()
 
 	// Rank + reward so the journal has records, then checkpoint.
-	r, err := cl.Rank(ctx, api.RankRequest{TemplateHash: 1, Span: []int{3, 9}})
+	r, err := cl.RankBatch(ctx, []api.RankRequest{{TemplateHash: 1, Span: []int{3, 9}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Reward(ctx, r.EventID, 1.0); err != nil {
+	v := 1.0
+	if _, err := cl.RewardBatch(ctx, []api.RewardEvent{{EventID: r.Results[0].EventID, Reward: &v}}); err != nil {
 		t.Fatal(err)
 	}
 	srv.Ingestor().Drain()

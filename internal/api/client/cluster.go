@@ -191,17 +191,6 @@ func (c *Cluster) write(fn func(*Client) error) error {
 
 // --- reads (fan across all nodes) ---
 
-// Rank steers one job on whichever node the rotation picks.
-func (c *Cluster) Rank(ctx context.Context, job api.RankRequest) (api.RankResponse, error) {
-	var out api.RankResponse
-	err := c.read(func(cl *Client) error {
-		var rerr error
-		out, rerr = cl.Rank(ctx, job)
-		return rerr
-	})
-	return out, err
-}
-
 // RankBatch steers one batch on one node of the rotation.
 func (c *Cluster) RankBatch(ctx context.Context, jobs []api.RankRequest) (api.BatchRankResponse, error) {
 	var out api.BatchRankResponse
@@ -283,11 +272,6 @@ func (c *Cluster) StatsAll(ctx context.Context) map[string]api.StatsResponse {
 }
 
 // --- writes (chase the leader) ---
-
-// Reward reports one event's reward to the leader.
-func (c *Cluster) Reward(ctx context.Context, eventID string, value float64) error {
-	return c.write(func(cl *Client) error { return cl.Reward(ctx, eventID, value) })
-}
 
 // RewardBatch feeds a telemetry batch to the leader.
 func (c *Cluster) RewardBatch(ctx context.Context, events []api.RewardEvent) (api.BatchRewardResponse, error) {

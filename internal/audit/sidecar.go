@@ -27,6 +27,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"qoadvisor/internal/bandit"
 	"qoadvisor/internal/wal"
 	"qoadvisor/internal/walrec"
 )
@@ -64,16 +65,16 @@ func newBloom(nKeys int) bloom {
 	return bloom{words: make([]uint64, m/64), mask: m - 1, k: 4}
 }
 
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+// probes returns the double-hashing pair for key. Each hash is a full
+// splitmix64 step (golden-ratio increment, then bandit.Mix64); the
+// on-disk bloom and count-min cells depend on this exact arithmetic,
+// so changing it means bumping idxMagic.
+func probes(key uint64) (h1, h2 uint64) {
+	return bandit.Mix64(key + bandit.MixGamma), bandit.Mix64((key^0xdeadbeefcafef00d)+bandit.MixGamma) | 1
 }
 
 func (b bloom) add(key uint64) {
-	h1 := splitmix64(key)
-	h2 := splitmix64(key^0xdeadbeefcafef00d) | 1
+	h1, h2 := probes(key)
 	for i := 0; i < b.k; i++ {
 		bit := (h1 + uint64(i)*h2) & b.mask
 		b.words[bit/64] |= 1 << (bit % 64)
@@ -84,8 +85,7 @@ func (b bloom) mayContain(key uint64) bool {
 	if len(b.words) == 0 {
 		return false
 	}
-	h1 := splitmix64(key)
-	h2 := splitmix64(key^0xdeadbeefcafef00d) | 1
+	h1, h2 := probes(key)
 	for i := 0; i < b.k; i++ {
 		bit := (h1 + uint64(i)*h2) & b.mask
 		if b.words[bit/64]&(1<<(bit%64)) == 0 {
@@ -106,7 +106,7 @@ func newCountMin() countMin { return countMin{cells: make([]uint32, cmRows*cmCol
 
 func (c countMin) add(key uint64) {
 	for r := 0; r < cmRows; r++ {
-		col := splitmix64(key+uint64(r)*0x9e3779b97f4a7c15) % cmCols
+		col := bandit.Mix64(key+uint64(r+1)*bandit.MixGamma) % cmCols
 		cell := &c.cells[r*cmCols+int(col)]
 		if *cell < ^uint32(0) {
 			*cell++
@@ -120,7 +120,7 @@ func (c countMin) estimate(key uint64) uint64 {
 	}
 	est := ^uint64(0)
 	for r := 0; r < cmRows; r++ {
-		col := splitmix64(key+uint64(r)*0x9e3779b97f4a7c15) % cmCols
+		col := bandit.Mix64(key+uint64(r+1)*bandit.MixGamma) % cmCols
 		if v := uint64(c.cells[r*cmCols+int(col)]); v < est {
 			est = v
 		}

@@ -34,6 +34,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"qoadvisor/internal/bandit"
 )
 
 // State is a template's position in the quarantine state machine.
@@ -218,25 +220,15 @@ func NewDetector(cfg Config) *Detector {
 // Config returns the (defaulted) parameters the detector runs with.
 func (d *Detector) Config() Config { return d.cfg }
 
-// mix64 is splitmix64's finalizer — the same mixer the bandit uses for
-// feature hashing. Each sketch row salts the template hash with an odd
-// constant derived from the row index so the rows are independent.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // sketchAdd increments the template's counters and returns the new
 // count-min estimate.
 func (d *Detector) sketchAdd(hash uint64) uint32 {
 	est := uint32(math.MaxUint32)
 	w := uint64(d.cfg.SketchWidth)
 	for row := 0; row < d.cfg.SketchDepth; row++ {
-		h := mix64(hash + uint64(row)*0x9e3779b97f4a7c15)
+		// Each row salts the hash with a distinct multiple of the
+		// golden-ratio constant so the rows hash independently.
+		h := bandit.Mix64(hash + uint64(row)*bandit.MixGamma)
 		c := &d.sketch[uint64(row)*w+h%w]
 		if *c != math.MaxUint32 {
 			*c++

@@ -10,7 +10,7 @@ import (
 func TestExpositionCountersAndGauges(t *testing.T) {
 	e := NewExposition()
 	e.Counter("qo_requests_total", "Total requests.", L("route", "/v2/rank"), 42)
-	e.Counter("qo_requests_total", "Total requests.", L("route", "/v1/rank"), 7)
+	e.Counter("qo_requests_total", "Total requests.", L("route", "/v2/rank"), 7)
 	e.Gauge("qo_queue_depth", "Queue depth.", nil, 3)
 	var b strings.Builder
 	if _, err := e.WriteTo(&b); err != nil {
@@ -21,7 +21,7 @@ func TestExpositionCountersAndGauges(t *testing.T) {
 		"# HELP qo_requests_total Total requests.",
 		"# TYPE qo_requests_total counter",
 		`qo_requests_total{route="/v2/rank"} 42`,
-		`qo_requests_total{route="/v1/rank"} 7`,
+		`qo_requests_total{route="/v2/rank"} 7`,
 		"# TYPE qo_queue_depth gauge",
 		"qo_queue_depth 3",
 	}

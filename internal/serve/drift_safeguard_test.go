@@ -79,13 +79,16 @@ func newDriftRig(t *testing.T, mode wal.Mode) *driftRig {
 // source ranks one job for hash and reports which path answered.
 func (r *driftRig) source(t *testing.T, hash uint64) string {
 	t.Helper()
-	resp, err := r.cl.Rank(context.Background(), api.RankRequest{
-		TemplateHash: api.TemplateHash(hash), Span: []int{5, 60, 120}, RowCount: 1e5,
+	resp, err := r.cl.RankBatch(context.Background(), []api.RankRequest{
+		{TemplateHash: api.TemplateHash(hash), Span: []int{5, 60, 120}, RowCount: 1e5},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.Source
+	if e := resp.Results[0].Error; e != nil {
+		t.Fatal(e)
+	}
+	return resp.Results[0].Source
 }
 
 // observe posts one template-attributed reward over /v2/reward and
@@ -216,12 +219,12 @@ func TestRewardFloodIsolation(t *testing.T) {
 				return
 			default:
 			}
-			resp, err := r.cl.Rank(context.Background(), api.RankRequest{
-				TemplateHash: api.TemplateHash(r.altHash), Span: []int{5, 60}, RowCount: 1e4,
+			resp, err := r.cl.RankBatch(context.Background(), []api.RankRequest{
+				{TemplateHash: api.TemplateHash(r.altHash), Span: []int{5, 60}, RowCount: 1e4},
 			})
-			if err != nil || resp.Source != api.SourceHint {
+			if err != nil || resp.Results[0].Source != api.SourceHint {
 				select {
-				case rankErrs <- fmt.Errorf("concurrent rank: source=%q err=%v", resp.Source, err):
+				case rankErrs <- fmt.Errorf("concurrent rank: resp=%+v err=%v", resp, err):
 				default:
 				}
 				return
@@ -507,8 +510,8 @@ func TestManualQuarantineEndpoint(t *testing.T) {
 }
 
 // TestRewardRejectsNonFinite pins the intake guard: NaN and ±Inf
-// rewards get the typed invalid_reward rejection on both the batch
-// core and the v1 adapter, and never reach the queue or the detector.
+// rewards get the typed invalid_reward rejection from the batch core,
+// and never reach the queue or the detector.
 func TestRewardRejectsNonFinite(t *testing.T) {
 	r := newDriftRig(t, wal.ModeSync)
 	th := api.TemplateHash(r.hintHash)
@@ -528,7 +531,7 @@ func TestRewardRejectsNonFinite(t *testing.T) {
 	// Over the wire a NaN cannot even be JSON — the decode guard
 	// rejects it before the reward core sees it. Send it raw to pin
 	// the status code.
-	st, body := postRaw2(t, r.ts.URL+api.RouteV1Reward, `{"eventId":"x","reward":NaN}`)
+	st, body := postRaw2(t, r.ts.URL+api.RouteV2Reward, `{"events":[{"eventId":"x","reward":NaN}]}`)
 	if st != 400 {
 		t.Fatalf("raw NaN reward status = %d body %s, want 400", st, body)
 	}

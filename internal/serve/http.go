@@ -22,19 +22,17 @@ import (
 	"qoadvisor/internal/sis"
 )
 
-// Request body caps: steering queries and rewards are tiny; batches
-// scale with the job population; hint files scale with the template
-// population but stay far below their cap.
+// Request body caps: admin requests are tiny; batches scale with the
+// job population; hint files scale with the template population but
+// stay far below their cap.
 const (
-	maxJSONBody  = 1 << 20  // 1 MiB: single-job v1 bodies
-	maxBatchBody = 8 << 20  // 8 MiB: /v2 batch bodies
+	maxJSONBody  = 1 << 20  // 1 MiB: single-object bodies (quarantine)
+	maxBatchBody = 8 << 20  // 8 MiB: rank and reward batch bodies
 	maxHintBody  = 64 << 20 // 64 MiB: hint rollover files
 )
 
-// httpLayer is the server's HTTP face: the versioned mux plus the
-// middleware state (request-ID source, per-route metrics). The /v1
-// handlers are thin single-item adapters over the same batch cores the
-// /v2 handlers fan out, so both versions make identical decisions.
+// httpLayer is the server's HTTP face: the /v2 mux plus the middleware
+// state (request-ID source, per-route metrics).
 type httpLayer struct {
 	srv *Server
 	mux *http.ServeMux
@@ -70,15 +68,12 @@ func newHTTPLayer(s *Server) *httpLayer {
 		path    string
 		handler http.HandlerFunc
 	}{
-		{api.RouteV1Rank, h.handleRankV1},
-		{api.RouteV1Reward, h.handleRewardV1},
-		{api.RouteV1Hints, h.handleHints},
-		{api.RouteV1Stats, h.handleStatsV1},
-		{api.RouteV1Snapshot, h.handleSnapshot},
-		{api.RouteV2Rank, h.handleRankV2},
-		{api.RouteV2Reward, h.handleRewardV2},
+		{api.RouteV2Rank, h.handleRank},
+		{api.RouteV2Reward, h.handleReward},
+		{api.RouteV2Hints, h.handleHints},
+		{api.RouteV2Snapshot, h.handleSnapshot},
 		{api.RouteV2Healthz, h.handleHealthz},
-		{api.RouteV2Stats, h.handleStatsV2},
+		{api.RouteV2Stats, h.handleStats},
 		{api.RouteV2Quarantine, h.handleQuarantine},
 		{api.RouteV2WAL, h.handleWALStream},
 		{api.RouteV2WALSnapshot, h.handleWALSnapshot},
@@ -109,7 +104,7 @@ func newHTTPLayer(s *Server) *httpLayer {
 const routeUnmatched = "(unmatched)"
 
 func (h *httpLayer) handleNotFound(w http.ResponseWriter, r *http.Request) {
-	writeError(w, requestID(r), api.Errorf(api.CodeNotFound, "no route %s in /v1 or /v2", r.URL.Path))
+	writeError(w, requestID(r), api.Errorf(api.CodeNotFound, "no route %s in /v2", r.URL.Path))
 }
 
 // ServeHTTP implements http.Handler.
@@ -311,7 +306,7 @@ func (h *httpLayer) requirePrimary(w http.ResponseWriter, r *http.Request) bool 
 	return true
 }
 
-// --- batch cores (shared by v1 adapters and v2 handlers) ---
+// --- batch cores ---
 
 // rankBatch fans a job batch out over the rank worker pool. Results
 // align index-for-index with jobs; per-job failures land in the item's
@@ -398,9 +393,9 @@ func (h *httpLayer) rewardBatch(events []api.RewardEvent, tr *obs.Trace) (queued
 	return queued, observed, rejected
 }
 
-// --- v2 handlers ---
+// --- handlers ---
 
-func (h *httpLayer) handleRankV2(w http.ResponseWriter, r *http.Request) {
+func (h *httpLayer) handleRank(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
 	if !requireMethod(w, r, http.MethodPost) {
 		return
@@ -426,7 +421,7 @@ func (h *httpLayer) handleRankV2(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (h *httpLayer) handleRewardV2(w http.ResponseWriter, r *http.Request) {
+func (h *httpLayer) handleReward(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r)
 	if !requireMethod(w, r, http.MethodPost) || !h.requirePrimary(w, r) {
 		return
@@ -493,26 +488,13 @@ func (h *httpLayer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-func (h *httpLayer) handleStatsV2(w http.ResponseWriter, r *http.Request) {
+func (h *httpLayer) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	resp := h.fullStats()
+	resp := h.srv.Stats()
 	resp.RequestID = requestID(r)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// fullStats assembles the complete stats document — the /v2/stats body
-// minus the request ID. Incident captures snapshot the same document
-// into the bundle's stats.json.
-func (h *httpLayer) fullStats() api.StatsResponse {
-	resp := h.srv.Stats()
-	resp.Routes = h.routeMetrics()
-	resp.Stages = h.srv.stageSummaries()
-	resp.Version = &h.srv.version
-	resp.Drift = h.srv.DriftStats(driftStatsTemplates)
-	resp.SLO = h.srv.sloStats()
-	return resp
 }
 
 // handleTraces serves the retained slow-trace ring as a Chrome-trace
@@ -609,11 +591,6 @@ func (h *httpLayer) handleIncidents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// driftStatsTemplates caps the per-template drift listing in /v2/stats
-// (non-healthy templates always appear; the rest are the worst-scoring
-// tracked ones up to this many total).
-const driftStatsTemplates = 32
-
 // handleQuarantine is the drift-safeguard admin surface: GET lists the
 // durable quarantine table (served on any node — a follower's answer
 // reflects the replicated state), POST applies a manual quarantine or
@@ -668,43 +645,6 @@ func (h *httpLayer) handleQuarantine(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// --- v1 handlers (single-item adapters over the batch cores) ---
-
-func (h *httpLayer) handleRankV1(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	var job api.RankRequest
-	if e := decodeBody(w, r, maxJSONBody, &job); e != nil {
-		writeError(w, rid, e)
-		return
-	}
-	res := h.rankBatch([]api.RankRequest{job}, traceFrom(r))[0]
-	if res.Error != nil {
-		writeError(w, rid, res.Error)
-		return
-	}
-	writeJSON(w, http.StatusOK, res.RankResponse)
-}
-
-func (h *httpLayer) handleRewardV1(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r)
-	if !requireMethod(w, r, http.MethodPost) || !h.requirePrimary(w, r) {
-		return
-	}
-	var ev api.RewardEvent
-	if e := decodeBody(w, r, maxJSONBody, &ev); e != nil {
-		writeError(w, rid, e)
-		return
-	}
-	if _, _, rejected := h.rewardBatch([]api.RewardEvent{ev}, traceFrom(r)); len(rejected) > 0 {
-		writeError(w, rid, &rejected[0].Error)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, api.RewardResponse{Status: "queued"})
-}
-
 // handleHints installs a hint table from a SIS exchange-format body —
 // the HTTP face of the pipeline rollover.
 func (h *httpLayer) handleHints(w http.ResponseWriter, r *http.Request) {
@@ -748,13 +688,6 @@ func (h *httpLayer) handleHints(w http.ResponseWriter, r *http.Request) {
 		Day:        file.Day,
 		Generation: gen,
 	})
-}
-
-func (h *httpLayer) handleStatsV1(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	writeJSON(w, http.StatusOK, h.srv.Stats())
 }
 
 // handleSnapshot serves the model state: GET streams the persisted form,

@@ -316,7 +316,7 @@ func (e *incidentEngine) capture(now time.Time, reason, detail string, burn floa
 
 	// The full stats document carries the WAL, replication, drift, SLO,
 	// and route/stage state the responder needs first.
-	writeJSONFile("stats.json", e.srv.http.fullStats())
+	writeJSONFile("stats.json", e.srv.Stats())
 	writeJSONFile("traces.json", e.srv.tracesResponse("", 0, 0))
 	writeJSONFile("histograms.json", e.srv.histogramSnapshots())
 	writeProfile("goroutine.pprof", "goroutine")

@@ -23,7 +23,7 @@ type reward struct {
 // queue drained by a worker pool that applies rewards to the bandit
 // service and triggers an IPS training pass every trainEvery applied
 // rewards. Keeping reward application and SGD off the request path is
-// what lets /v1/reward return in microseconds while the model still
+// what lets /v2/reward return in microseconds while the model still
 // learns continuously.
 //
 // When a WAL is attached, every accepted batch is journaled before the

@@ -362,16 +362,15 @@ func TestFollowerModeContract(t *testing.T) {
 	srv.RestoreHints(testHints(cat, 3, 2), 7)
 
 	// Hint read path serves, with the restored generation.
-	hinted := decodeJSON[api.RankResponse](t, postJSON(t, ts.URL+api.RouteV1Rank,
-		api.RankRequest{TemplateHash: 0x1001, Span: []int{45}}))
+	hinted := rankOne(t, ts.URL, api.RankRequest{TemplateHash: 0x1001, Span: []int{45}})
 	if hinted.Source != api.SourceHint || hinted.Generation != 7 {
 		t.Fatalf("follower hint rank = %+v", hinted)
 	}
 	// Bandit read path is deterministic greedy: no event ID, twice the
 	// same answer.
 	job := api.RankRequest{TemplateHash: 0x9999, Span: []int{10, 30, 90}}
-	b1 := decodeJSON[api.RankResponse](t, postJSON(t, ts.URL+api.RouteV1Rank, job))
-	b2 := decodeJSON[api.RankResponse](t, postJSON(t, ts.URL+api.RouteV1Rank, job))
+	b1 := rankOne(t, ts.URL, job)
+	b2 := rankOne(t, ts.URL, job)
 	if b1.Source != api.SourceBandit || b1.EventID != "" {
 		t.Fatalf("follower bandit rank = %+v", b1)
 	}
@@ -385,21 +384,21 @@ func TestFollowerModeContract(t *testing.T) {
 	// Writes reject with the structured redirect.
 	val := 1.0
 	for name, do := range map[string]func() *http.Response{
-		"v1 reward": func() *http.Response {
-			return postJSON(t, ts.URL+api.RouteV1Reward, api.RewardEvent{EventID: "e", Reward: &val})
+		"quarantine": func() *http.Response {
+			return postJSON(t, ts.URL+api.RouteV2Quarantine, api.QuarantineRequest{TemplateHash: 0x1001, Action: api.QuarantineActionQuarantine})
 		},
 		"v2 reward": func() *http.Response {
 			return postJSON(t, ts.URL+api.RouteV2Reward, api.BatchRewardRequest{Events: []api.RewardEvent{{EventID: "e", Reward: &val}}})
 		},
 		"hints rollover": func() *http.Response {
-			resp, err := http.Post(ts.URL+api.RouteV1Hints, "text/plain", bytes.NewBufferString("qoadvisor-hints v1 day=1\n"))
+			resp, err := http.Post(ts.URL+api.RouteV2Hints, "text/plain", bytes.NewBufferString("qoadvisor-hints v1 day=1\n"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return resp
 		},
 		"snapshot save": func() *http.Response {
-			resp, err := http.Post(ts.URL+api.RouteV1Snapshot, "application/json", nil)
+			resp, err := http.Post(ts.URL+api.RouteV2Snapshot, "application/json", nil)
 			if err != nil {
 				t.Fatal(err)
 			}

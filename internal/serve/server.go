@@ -51,7 +51,7 @@ type Config struct {
 	// default bounds event state near 100 MiB. Applies to a
 	// caller-supplied Bandit too.
 	MaxLogEvents int
-	// SnapshotPath is where POST /v1/model/snapshot persists the model.
+	// SnapshotPath is where POST /v2/model/snapshot persists the model.
 	SnapshotPath string
 	// WAL, when non-nil, is the durable reward journal: rank decisions
 	// are journaled by the learner, reward batches are journaled before
@@ -67,8 +67,8 @@ type Config struct {
 	// bandit path of Rank answers with the deterministic greedy policy
 	// (no event logged, no exploration randomness consumed — serving a
 	// read must not diverge the replica from the primary's journaled
-	// state), and every write route (/v1/reward, /v2/reward, /v1/hints,
-	// POST /v1/model/snapshot, the replication surface) rejects with a
+	// state), and every write route (/v2/reward, /v2/hints,
+	// POST /v2/model/snapshot, the replication surface) rejects with a
 	// structured not_primary error carrying LeaderURL. The replica's
 	// state advances only through applied journal records
 	// (internal/replicate tails them).
@@ -277,7 +277,6 @@ func NewFlightRecorder(retain time.Duration) *obs.FlightRecorder {
 		Threshold: retain,
 		RouteThresholds: map[string]time.Duration{
 			api.RouteV2Rank:        slo.RankThreshold,
-			api.RouteV1Rank:        slo.RankThreshold,
 			api.RouteV2WAL:         -1,
 			api.RouteV2WALSnapshot: -1,
 		},
@@ -425,8 +424,8 @@ func (s *Server) Close() {
 
 // Rank answers one steering query: a cached validated hint when the
 // template has one, otherwise an epsilon-greedy bandit decision over the
-// job's span actions. This is the embeddable core of POST /v1/rank and
-// the per-job unit of the /v2/rank batch fan-out. Validation failures
+// job's span actions. This is the embeddable core of POST /v2/rank:
+// the per-job unit of its batch fan-out. Validation failures
 // return *api.Error with api.CodeInvalidRequest.
 func (s *Server) Rank(req api.RankRequest) (api.RankResponse, error) {
 	return s.rankTraced(req, nil, 0)
@@ -534,8 +533,13 @@ func (s *Server) RewardAsync(eventID string, value float64) bool {
 	return s.ingest.Enqueue(eventID, value)
 }
 
-// Stats snapshots the serving counters (the /v1/stats field set; the
-// HTTP layer adds request ID and per-route metrics for /v2/stats).
+// driftStatsTemplates caps the per-template drift listing in /v2/stats
+// (non-healthy templates always appear; the rest are the worst-scoring
+// tracked ones up to this many total).
+const driftStatsTemplates = 32
+
+// Stats assembles the complete stats document: the /v2/stats body
+// minus the request ID, and the incident bundle's stats.json.
 func (s *Server) Stats() api.StatsResponse {
 	var walStats *api.WALStats
 	if s.wal != nil {
@@ -569,7 +573,12 @@ func (s *Server) Stats() api.StatsResponse {
 		Ingest:       s.ingest.Stats(),
 		WAL:          walStats,
 		Replication:  s.replicationStats(),
+		Routes:       s.http.routeMetrics(),
+		Stages:       s.stageSummaries(),
+		Version:      &s.version,
+		Drift:        s.DriftStats(driftStatsTemplates),
 		Audit:        s.auditStats(),
+		SLO:          s.sloStats(),
 		Traces:       s.traceStats(),
 		Incidents:    s.incidents.stats(),
 	}
@@ -673,7 +682,7 @@ type CheckpointInfo struct {
 // below the watermark are then truncated (snapshot compaction).
 //
 // This is the one snapshot entry point for recovery-grade state:
-// SIGTERM, the -snapshot-every ticker, and POST /v1/model/snapshot all
+// SIGTERM, the -snapshot-every ticker, and POST /v2/model/snapshot all
 // land here.
 func (s *Server) Checkpoint(path string) (CheckpointInfo, error) {
 	start := time.Now()

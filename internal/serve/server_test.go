@@ -49,21 +49,38 @@ func decodeJSON[T any](t *testing.T, resp *http.Response) T {
 	return v
 }
 
+// rankOne steers one job through a single-job /v2/rank batch.
+func rankOne(t *testing.T, base string, job api.RankRequest) api.RankResponse {
+	t.Helper()
+	resp := postJSON(t, base+api.RouteV2Rank, api.BatchRankRequest{Jobs: []api.RankRequest{job}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("rank status = %d", resp.StatusCode)
+	}
+	out := decodeJSON[api.BatchRankResponse](t, resp)
+	if len(out.Results) != 1 || out.Results[0].Error != nil {
+		t.Fatalf("rank = %+v, want one decision", out)
+	}
+	return out.Results[0].RankResponse
+}
+
+// rewardOne posts a single-event /v2/reward batch.
+func rewardOne(t *testing.T, base, eventID string, v float64) *http.Response {
+	t.Helper()
+	return postJSON(t, base+api.RouteV2Reward,
+		api.BatchRewardRequest{Events: []api.RewardEvent{{EventID: eventID, Reward: &v}}})
+}
+
 func TestRankRewardEndToEnd(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Seed: 11, TrainEvery: 4})
 
 	// No hints installed: the bandit path must answer and log an event.
-	rank := postJSON(t, ts.URL+api.RouteV1Rank, api.RankRequest{
+	rr := rankOne(t, ts.URL, api.RankRequest{
 		TemplateHash: 0xdeadbeef,
 		TemplateID:   "T0001",
 		Span:         []int{3, 17, 40},
 		RowCount:     1e6,
 		BytesRead:    1e9,
 	})
-	if rank.StatusCode != http.StatusOK {
-		t.Fatalf("rank status = %d", rank.StatusCode)
-	}
-	rr := decodeJSON[api.RankResponse](t, rank)
 	if rr.Source != api.SourceBandit || rr.EventID == "" {
 		t.Fatalf("rank response = %+v, want bandit source with event ID", rr)
 	}
@@ -77,14 +94,16 @@ func TestRankRewardEndToEnd(t *testing.T) {
 	}
 
 	// Reward the event asynchronously, then drain and check it landed.
-	reward := postJSON(t, ts.URL+api.RouteV1Reward, map[string]any{"eventId": rr.EventID, "reward": 1.7})
+	reward := rewardOne(t, ts.URL, rr.EventID, 1.7)
 	if reward.StatusCode != http.StatusAccepted {
 		t.Fatalf("reward status = %d, want 202", reward.StatusCode)
 	}
-	reward.Body.Close()
+	if out := decodeJSON[api.BatchRewardResponse](t, reward); out.Queued != 1 {
+		t.Fatalf("reward = %+v, want 1 queued", out)
+	}
 	srv.Ingestor().Drain()
 
-	stats := decodeJSON[api.StatsResponse](t, mustGet(t, ts.URL+api.RouteV1Stats))
+	stats := decodeJSON[api.StatsResponse](t, mustGet(t, ts.URL+api.RouteV2Stats))
 	if stats.RankRequests != 1 || stats.BanditRanks != 1 || stats.HintHits != 0 {
 		t.Errorf("stats = %+v, want 1 rank, 1 bandit rank, 0 hint hits", stats)
 	}
@@ -93,9 +112,6 @@ func TestRankRewardEndToEnd(t *testing.T) {
 	}
 	if stats.BanditLog != 1 {
 		t.Errorf("bandit log = %d, want 1", stats.BanditLog)
-	}
-	if stats.Routes != nil {
-		t.Errorf("v1 stats carries route metrics %v, want none (v2-only field)", stats.Routes)
 	}
 }
 
@@ -111,7 +127,7 @@ func TestHintsInstallAndServe(t *testing.T) {
 	if err := sis.Serialize(&buf, file); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+api.RouteV1Hints, "text/plain", &buf)
+	resp, err := http.Post(ts.URL+api.RouteV2Hints, "text/plain", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +137,7 @@ func TestHintsInstallAndServe(t *testing.T) {
 	}
 
 	// A rank for the hinted template must hit the cache — no event logged.
-	rank := postJSON(t, ts.URL+api.RouteV1Rank, api.RankRequest{TemplateHash: 0xabc123, Span: []int{40}})
-	rr := decodeJSON[api.RankResponse](t, rank)
+	rr := rankOne(t, ts.URL, api.RankRequest{TemplateHash: 0xabc123, Span: []int{40}})
 	if rr.Source != api.SourceHint || rr.EventID != "" {
 		t.Fatalf("rank = %+v, want hint-cache hit", rr)
 	}
@@ -131,18 +146,19 @@ func TestHintsInstallAndServe(t *testing.T) {
 	}
 
 	// Unknown template still goes to the bandit.
-	rank2 := postJSON(t, ts.URL+api.RouteV1Rank, api.RankRequest{TemplateHash: 1, Span: []int{40}})
-	if rr2 := decodeJSON[api.RankResponse](t, rank2); rr2.Source != api.SourceBandit {
+	if rr2 := rankOne(t, ts.URL, api.RankRequest{TemplateHash: 1, Span: []int{40}}); rr2.Source != api.SourceBandit {
 		t.Fatalf("unhinted rank source = %q, want bandit", rr2.Source)
 	}
 }
 
-// expectError asserts a structured error envelope with the wanted code.
+// expectError asserts a structured error envelope with the wanted code,
+// carrying the request ID the response header announced.
 func expectError(t *testing.T, resp *http.Response, wantStatus int, wantCode string) {
 	t.Helper()
 	if resp.StatusCode != wantStatus {
 		t.Errorf("status = %d, want %d", resp.StatusCode, wantStatus)
 	}
+	rid := resp.Header.Get(api.RequestIDHeader)
 	env := decodeJSON[api.ErrorResponse](t, resp)
 	if env.Error.Code != wantCode {
 		t.Errorf("error code = %q, want %q (message %q)", env.Error.Code, wantCode, env.Error.Message)
@@ -150,12 +166,16 @@ func expectError(t *testing.T, resp *http.Response, wantStatus int, wantCode str
 	if env.Error.Message == "" {
 		t.Errorf("error envelope for %s has empty message", wantCode)
 	}
+	if env.RequestID == "" || env.RequestID != rid {
+		t.Errorf("envelope requestId = %q, header %q: want the same non-empty ID", env.RequestID, rid)
+	}
 }
 
-// TestAPIConformanceErrorEnvelopes covers the HTTP error paths of both
-// protocol versions: wrong method, malformed JSON, oversized bodies,
-// unknown reward events, rollover validation failures — all asserting
-// the machine-readable envelope.
+// TestAPIConformanceErrorEnvelopes covers the HTTP error paths: wrong
+// method, malformed JSON, oversized bodies, unknown reward events,
+// rollover validation failures, and the retired /v1 paths — all
+// asserting the machine-readable envelope — plus the per-item errors
+// that ride inside a successful batch answer.
 func TestAPIConformanceErrorEnvelopes(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Seed: 3})
 
@@ -178,6 +198,9 @@ func TestAPIConformanceErrorEnvelopes(t *testing.T) {
 		return resp
 	}
 	oversized := `{"templateId":"` + strings.Repeat("A", maxJSONBody) + `"}`
+	oversizedBatch := `{"events":[{"eventId":"` + strings.Repeat("A", maxBatchBody) + `"}]}`
+	// retired names the path a route had under the removed /v1 surface.
+	retired := func(route string) string { return strings.Replace(route, "v2", "v1", 1) }
 
 	cases := []struct {
 		name         string
@@ -186,45 +209,45 @@ func TestAPIConformanceErrorEnvelopes(t *testing.T) {
 		wantStatus   int
 		wantCode     string
 	}{
-		{"GET v1 rank", http.MethodGet, api.RouteV1Rank, "", 405, api.CodeMethodNotAllowed},
 		{"GET v2 rank", http.MethodGet, api.RouteV2Rank, "", 405, api.CodeMethodNotAllowed},
-		{"GET v1 reward", http.MethodGet, api.RouteV1Reward, "", 405, api.CodeMethodNotAllowed},
+		{"GET v2 reward", http.MethodGet, api.RouteV2Reward, "", 405, api.CodeMethodNotAllowed},
 		{"DELETE v2 reward", http.MethodDelete, api.RouteV2Reward, "", 405, api.CodeMethodNotAllowed},
 		{"POST v2 healthz", http.MethodPost, api.RouteV2Healthz, "", 405, api.CodeMethodNotAllowed},
 		{"POST v2 stats", http.MethodPost, api.RouteV2Stats, "", 405, api.CodeMethodNotAllowed},
-		{"GET v1 hints", http.MethodGet, api.RouteV1Hints, "", 405, api.CodeMethodNotAllowed},
-		{"DELETE snapshot", http.MethodDelete, api.RouteV1Snapshot, "", 405, api.CodeMethodNotAllowed},
+		{"GET v2 hints", http.MethodGet, api.RouteV2Hints, "", 405, api.CodeMethodNotAllowed},
+		{"DELETE snapshot", http.MethodDelete, api.RouteV2Snapshot, "", 405, api.CodeMethodNotAllowed},
 
-		{"malformed v1 rank", http.MethodPost, api.RouteV1Rank, "{", 400, api.CodeInvalidJSON},
 		{"malformed v2 rank", http.MethodPost, api.RouteV2Rank, "{", 400, api.CodeInvalidJSON},
-		{"malformed v1 reward", http.MethodPost, api.RouteV1Reward, "{", 400, api.CodeInvalidJSON},
 		{"malformed v2 reward", http.MethodPost, api.RouteV2Reward, "{", 400, api.CodeInvalidJSON},
-		{"bad hash", http.MethodPost, api.RouteV1Rank, `{"templateHash":"zz","span":[1]}`, 400, api.CodeInvalidJSON},
+		{"bad hash", http.MethodPost, api.RouteV2Rank, `{"jobs":[{"templateHash":"zz","span":[1]}]}`, 400, api.CodeInvalidJSON},
 
-		{"oversized v1 rank", http.MethodPost, api.RouteV1Rank, oversized, 413, api.CodeBodyTooLarge},
-		{"oversized v1 reward", http.MethodPost, api.RouteV1Reward, oversized, 413, api.CodeBodyTooLarge},
+		{"oversized quarantine", http.MethodPost, api.RouteV2Quarantine, oversized, 413, api.CodeBodyTooLarge},
+		{"oversized v2 reward", http.MethodPost, api.RouteV2Reward, oversizedBatch, 413, api.CodeBodyTooLarge},
 
-		{"span out of range v1", http.MethodPost, api.RouteV1Rank,
-			`{"templateHash":"0000000000000001","span":[999]}`, 400, api.CodeInvalidRequest},
-		{"empty span v1", http.MethodPost, api.RouteV1Rank,
-			`{"templateHash":"0000000000000001","span":[]}`, 400, api.CodeInvalidRequest},
 		{"empty batch v2 rank", http.MethodPost, api.RouteV2Rank, `{"jobs":[]}`, 400, api.CodeInvalidRequest},
 		{"empty batch v2 reward", http.MethodPost, api.RouteV2Reward, `{"events":[]}`, 400, api.CodeInvalidRequest},
 
-		{"missing templateHash v1", http.MethodPost, api.RouteV1Rank, `{"span":[1]}`, 400, api.CodeInvalidJSON},
 		{"missing templateHash v2", http.MethodPost, api.RouteV2Rank, `{"jobs":[{"span":[1]}]}`, 400, api.CodeInvalidJSON},
 
-		{"unknown route", http.MethodGet, "/v1/nope", "", 404, api.CodeNotFound},
+		{"unknown route", http.MethodGet, "/v2/nope", "", 404, api.CodeNotFound},
 		{"root path", http.MethodGet, "/", "", 404, api.CodeNotFound},
 		{"unversioned rank", http.MethodPost, "/rank", `{}`, 404, api.CodeNotFound},
 
-		{"missing reward fields v1", http.MethodPost, api.RouteV1Reward, `{"eventId":""}`, 400, api.CodeInvalidRequest},
-		{"unknown event v1", http.MethodPost, api.RouteV1Reward,
-			`{"eventId":"ev-never-ranked","reward":1.0}`, 404, api.CodeUnknownEvent},
+		// The /v1 surface is gone: each of its routes answers not_found,
+		// and route resolution precedes body parsing, so a request that
+		// was once a 400 there is a 404 now.
+		{"malformed v1 rank", http.MethodPost, retired(api.RouteV2Rank), "{", 404, api.CodeNotFound},
+		{"malformed v1 reward", http.MethodPost, retired(api.RouteV2Reward), "{", 404, api.CodeNotFound},
+		{"missing templateHash v1", http.MethodPost, retired(api.RouteV2Rank), `{"span":[1]}`, 404, api.CodeNotFound},
+		{"GET v1 rank", http.MethodGet, retired(api.RouteV2Rank), "", 404, api.CodeNotFound},
+		{"GET v1 reward", http.MethodGet, retired(api.RouteV2Reward), "", 404, api.CodeNotFound},
+		{"GET v1 hints", http.MethodGet, retired(api.RouteV2Hints), "", 404, api.CodeNotFound},
+		{"GET v1 stats", http.MethodGet, retired(api.RouteV2Stats), "", 404, api.CodeNotFound},
+		{"GET v1 snapshot", http.MethodGet, retired(api.RouteV2Snapshot), "", 404, api.CodeNotFound},
 
-		{"rollover validation failure", http.MethodPost, api.RouteV1Hints,
+		{"rollover validation failure", http.MethodPost, api.RouteV2Hints,
 			"qoadvisor-hints v1 day=7\n00000000000abc12,T1,-R000,7\n", 400, api.CodeValidationFailed},
-		{"rollover parse failure", http.MethodPost, api.RouteV1Hints,
+		{"rollover parse failure", http.MethodPost, api.RouteV2Hints,
 			"not a hint file", 400, api.CodeInvalidRequest},
 	}
 	for _, tc := range cases {
@@ -233,12 +256,53 @@ func TestAPIConformanceErrorEnvelopes(t *testing.T) {
 		})
 	}
 
+	// Per-item errors: the batch succeeds and the failing job or event
+	// carries the envelope payload in its result slot.
+	items := []struct {
+		name       string
+		path, body string
+		wantStatus int
+		wantCode   string
+	}{
+		{"span out of range v2", api.RouteV2Rank,
+			`{"jobs":[{"templateHash":"0000000000000001","span":[999]}]}`, 200, api.CodeInvalidRequest},
+		{"empty span v2", api.RouteV2Rank,
+			`{"jobs":[{"templateHash":"0000000000000001","span":[]}]}`, 200, api.CodeInvalidRequest},
+		{"missing reward fields v2", api.RouteV2Reward, `{"events":[{"eventId":""}]}`, 202, api.CodeInvalidRequest},
+		{"unknown event v2", api.RouteV2Reward,
+			`{"events":[{"eventId":"ev-never-ranked","reward":1.0}]}`, 202, api.CodeUnknownEvent},
+	}
+	for _, tc := range items {
+		t.Run(tc.name, func(t *testing.T) {
+			resp := do(http.MethodPost, tc.path, tc.body)
+			if resp.StatusCode != tc.wantStatus {
+				t.Errorf("status = %d, want %d", resp.StatusCode, tc.wantStatus)
+			}
+			out := decodeJSON[struct {
+				Results  []api.RankResult      `json:"results"`
+				Rejected []api.RewardRejection `json:"rejected"`
+			}](t, resp)
+			var got *api.Error
+			switch {
+			case len(out.Results) == 1:
+				got = out.Results[0].Error
+			case len(out.Rejected) == 1:
+				got = &out.Rejected[0].Error
+			}
+			if got == nil || got.Code != tc.wantCode || got.Message == "" {
+				t.Errorf("item error = %+v, want %s with a message", got, tc.wantCode)
+			}
+		})
+	}
+
 	// The known event still rewards fine after all that.
-	resp := postJSON(t, ts.URL+api.RouteV1Reward, map[string]any{"eventId": known.EventID, "reward": 0.5})
+	resp := rewardOne(t, ts.URL, known.EventID, 0.5)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Errorf("known event reward status = %d, want 202", resp.StatusCode)
 	}
-	resp.Body.Close()
+	if out := decodeJSON[api.BatchRewardResponse](t, resp); out.Queued != 1 {
+		t.Errorf("known event reward = %+v, want 1 queued", out)
+	}
 }
 
 // TestAPIConformanceOversizedBatch checks the 8 MiB v2 cap separately
@@ -266,7 +330,7 @@ func TestAPIConformanceOversizedHintFile(t *testing.T) {
 	for body.Len() <= maxHintBody {
 		body.WriteString(line)
 	}
-	resp, err := http.Post(ts.URL+api.RouteV1Hints, "text/plain", strings.NewReader(body.String()))
+	resp, err := http.Post(ts.URL+api.RouteV2Hints, "text/plain", strings.NewReader(body.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,74 +339,6 @@ func TestAPIConformanceOversizedHintFile(t *testing.T) {
 		t.Errorf("truncated hint file was installed: size %d gen %d",
 			srv.Cache().Size(), srv.Cache().Generation())
 	}
-}
-
-// TestAPIConformanceV1V2Rank proves the two protocol versions return
-// identical steering decisions for the same job: the hint path on one
-// server (deterministic), and the bandit path across two servers with
-// identical seeds (same rng sequence), ranked via /v1 on one and /v2 on
-// the other.
-func TestAPIConformanceV1V2Rank(t *testing.T) {
-	cat := rules.NewCatalog()
-
-	t.Run("hint path", func(t *testing.T) {
-		srv, ts := newTestServer(t, Config{Catalog: cat, Seed: 5})
-		if _, err := srv.InstallHints([]sis.Hint{
-			{TemplateHash: 0x77, TemplateID: "T7", Flip: cat.FlipFor(52), Day: 3},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		job := api.RankRequest{TemplateHash: 0x77, Span: []int{52}}
-
-		v1 := decodeJSON[api.RankResponse](t, postJSON(t, ts.URL+api.RouteV1Rank, job))
-		v2 := decodeJSON[api.BatchRankResponse](t, postJSON(t, ts.URL+api.RouteV2Rank,
-			api.BatchRankRequest{Jobs: []api.RankRequest{job}}))
-		if len(v2.Results) != 1 || v2.Results[0].Error != nil {
-			t.Fatalf("v2 batch = %+v", v2)
-		}
-		if v1 != v2.Results[0].RankResponse {
-			t.Errorf("v1 = %+v\nv2 = %+v, want identical hint decisions", v1, v2.Results[0].RankResponse)
-		}
-		if v2.Generation != 1 || v2.RequestID == "" {
-			t.Errorf("v2 envelope generation=%d requestId=%q", v2.Generation, v2.RequestID)
-		}
-	})
-
-	t.Run("bandit path", func(t *testing.T) {
-		// Same seed, sequential batch fan-out: the rng sequences align,
-		// so decision i of the v1 stream must equal decision i of the v2
-		// batch (event IDs carry a per-instance nonce and are excluded).
-		_, ts1 := newTestServer(t, Config{Catalog: cat, Seed: 9, RankWorkers: 1})
-		_, ts2 := newTestServer(t, Config{Catalog: cat, Seed: 9, RankWorkers: 1})
-		jobs := make([]api.RankRequest, 6)
-		for i := range jobs {
-			jobs[i] = api.RankRequest{
-				TemplateHash: api.TemplateHash(i + 1),
-				Span:         []int{3 + i, 40, 100 + i},
-				RowCount:     float64(1000 * (i + 1)),
-				BytesRead:    float64(int64(1) << (10 + i)),
-			}
-		}
-		var fromV1 []api.RankResponse
-		for _, job := range jobs {
-			fromV1 = append(fromV1, decodeJSON[api.RankResponse](t, postJSON(t, ts1.URL+api.RouteV1Rank, job)))
-		}
-		batch := decodeJSON[api.BatchRankResponse](t, postJSON(t, ts2.URL+api.RouteV2Rank,
-			api.BatchRankRequest{Jobs: jobs}))
-		if len(batch.Results) != len(jobs) {
-			t.Fatalf("v2 returned %d results for %d jobs", len(batch.Results), len(jobs))
-		}
-		for i, res := range batch.Results {
-			if res.Error != nil {
-				t.Fatalf("job %d: v2 error %v", i, res.Error)
-			}
-			got, want := res.RankResponse, fromV1[i]
-			got.EventID, want.EventID = "", ""
-			if got != want {
-				t.Errorf("job %d: v1 = %+v\n          v2 = %+v, want identical decisions", i, want, got)
-			}
-		}
-	})
 }
 
 func TestV2BatchRankMixedResults(t *testing.T) {
@@ -436,9 +432,6 @@ func TestV2RewardQueueFull(t *testing.T) {
 		api.BatchRewardRequest{Events: []api.RewardEvent{{EventID: rr.EventID, Reward: &val}}})
 	expectError(t, resp, http.StatusServiceUnavailable, api.CodeQueueFull)
 
-	v1 := postJSON(t, ts.URL+api.RouteV1Reward, map[string]any{"eventId": rr.EventID, "reward": 1.0})
-	expectError(t, v1, http.StatusServiceUnavailable, api.CodeQueueFull)
-
 	// A malformed straggler must not mask the backpressure: nothing was
 	// queued and queue_full is among the rejections, so the batch still
 	// 503s (a 202 here would defeat the client's retry and silently
@@ -476,16 +469,16 @@ func TestV2HealthzAndStats(t *testing.T) {
 	}
 
 	// Drive one rank and one 405 so the route metrics have content.
-	postJSON(t, ts.URL+api.RouteV1Rank, api.RankRequest{TemplateHash: 0x42, Span: []int{41}}).Body.Close()
-	mustGet(t, ts.URL+api.RouteV1Rank).Body.Close()
+	rankOne(t, ts.URL, api.RankRequest{TemplateHash: 0x42, Span: []int{41}})
+	mustGet(t, ts.URL+api.RouteV2Rank).Body.Close()
 
 	stats := decodeJSON[api.StatsResponse](t, mustGet(t, ts.URL+api.RouteV2Stats))
 	if stats.RequestID == "" {
 		t.Error("v2 stats missing requestId")
 	}
-	rank := stats.Routes[api.RouteV1Rank]
+	rank := stats.Routes[api.RouteV2Rank]
 	if rank.Count != 2 || rank.Errors != 1 {
-		t.Errorf("route metrics for v1 rank = %+v, want count 2 errors 1", rank)
+		t.Errorf("route metrics for rank = %+v, want count 2 errors 1", rank)
 	}
 	if hz := stats.Routes[api.RouteV2Healthz]; hz.Count != 1 || hz.Errors != 0 {
 		t.Errorf("route metrics for healthz = %+v, want count 1", hz)
@@ -509,7 +502,7 @@ func TestModelSnapshotOverHTTP(t *testing.T) {
 	srv.Ingestor().Drain()
 
 	// GET streams a loadable model.
-	get := mustGet(t, ts.URL+api.RouteV1Snapshot)
+	get := mustGet(t, ts.URL+api.RouteV2Snapshot)
 	defer get.Body.Close()
 	loaded, err := bandit.Load(get.Body, 1)
 	if err != nil {
@@ -518,7 +511,7 @@ func TestModelSnapshotOverHTTP(t *testing.T) {
 
 	// POST persists to the configured path; the file round-trips to the
 	// same scores as the in-memory learner.
-	post := postJSON(t, ts.URL+api.RouteV1Snapshot, nil)
+	post := postJSON(t, ts.URL+api.RouteV2Snapshot, nil)
 	body := decodeJSON[api.SnapshotSaveResponse](t, post)
 	if post.StatusCode != http.StatusOK || body.Path != path || body.Bytes <= 0 {
 		t.Fatalf("POST snapshot: status %d body %+v", post.StatusCode, body)
@@ -537,7 +530,7 @@ func TestModelSnapshotOverHTTP(t *testing.T) {
 
 func TestSnapshotPostWithoutPath(t *testing.T) {
 	_, ts := newTestServer(t, Config{Seed: 1})
-	resp := postJSON(t, ts.URL+api.RouteV1Snapshot, nil)
+	resp := postJSON(t, ts.URL+api.RouteV2Snapshot, nil)
 	expectError(t, resp, http.StatusConflict, api.CodeSnapshotUnconfigured)
 }
 

@@ -84,23 +84,14 @@ func (s *Server) initSLO(cfg SLOConfig) {
 	cfg = cfg.withDefaults()
 	t := obs.NewSLOTracker(cfg.Windows...)
 
-	// Rank latency: good = rank requests (both protocol versions)
-	// answered at or under the threshold.
-	rankRoutes := []*routeStats{s.http.stats[api.RouteV2Rank], s.http.stats[api.RouteV1Rank]}
+	// Rank latency: good = rank requests answered at or under the
+	// threshold.
 	t.Add(obs.Objective{
 		Name:      sloRankLatency,
 		Kind:      obs.SLOLatency,
 		Target:    cfg.RankTarget,
 		Threshold: cfg.RankThreshold,
-		Source: func() (float64, float64) {
-			good, total := 0.0, 0.0
-			for _, m := range rankRoutes {
-				snap := m.lat.Snapshot()
-				good += snap.CountBelow(cfg.RankThreshold)
-				total += float64(snap.Count)
-			}
-			return good, total
-		},
+		Source:    latencySource(s.http.stats[api.RouteV2Rank], cfg.RankThreshold),
 	})
 
 	// Reward latency: good = reward batches acknowledged at or under
@@ -108,21 +99,12 @@ func (s *Server) initSLO(cfg SLOConfig) {
 	// append and (in sync mode) the commit fsync, so this objective is
 	// the one a sick disk burns — the incident engine's burn trigger
 	// fires on it when fsyncs stall.
-	rewardRoutes := []*routeStats{s.http.stats[api.RouteV2Reward], s.http.stats[api.RouteV1Reward]}
 	t.Add(obs.Objective{
 		Name:      sloRewardLatency,
 		Kind:      obs.SLOLatency,
 		Target:    cfg.RewardTarget,
 		Threshold: cfg.RewardThreshold,
-		Source: func() (float64, float64) {
-			good, total := 0.0, 0.0
-			for _, m := range rewardRoutes {
-				snap := m.lat.Snapshot()
-				good += snap.CountBelow(cfg.RewardThreshold)
-				total += float64(snap.Count)
-			}
-			return good, total
-		},
+		Source:    latencySource(s.http.stats[api.RouteV2Reward], cfg.RewardThreshold),
 	})
 
 	// Availability: good = requests not answered 5xx, across every
@@ -145,6 +127,15 @@ func (s *Server) initSLO(cfg SLOConfig) {
 		},
 	})
 	s.slo = t
+}
+
+// latencySource feeds a latency objective from one route's histogram:
+// good = requests answered at or under threshold.
+func latencySource(m *routeStats, threshold time.Duration) func() (float64, float64) {
+	return func() (float64, float64) {
+		snap := m.lat.Snapshot()
+		return snap.CountBelow(threshold), float64(snap.Count)
+	}
 }
 
 // SLOTracker exposes the tracker (nil when disabled) for embedding

@@ -131,7 +131,7 @@ type Options struct {
 // Stats is a point-in-time snapshot of the journal counters.
 type Stats struct {
 	Mode          string
-	FirstLSN      uint64 // oldest retained record (0 when empty)
+	FirstLSN      uint64 // start of the retained window (see WAL.FirstLSN)
 	LastLSN       uint64 // newest appended record (0 when empty)
 	SyncedLSN     uint64 // newest record covered by a flush (+fsync outside ModeOff)
 	Appends       int64
@@ -656,11 +656,19 @@ func (w *WAL) TailDamage() (bytes int64, reason error) {
 	return w.tornBytes, w.tornErr
 }
 
-// FirstLSN returns the oldest retained LSN (0 when the log is empty).
+// FirstLSN returns the start of the retained window: the oldest
+// retained LSN or, when compaction has removed every record and the
+// active segment is still empty, the next LSN to be appended — so a
+// reader positioned below it still sees the gap. It is 0 only when
+// nothing has ever been appended.
 func (w *WAL) FirstLSN() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.segs) == 0 || w.nextLSN == w.segs[0].firstLSN {
+	return w.firstLSNLocked()
+}
+
+func (w *WAL) firstLSNLocked() uint64 {
+	if len(w.segs) == 0 || w.nextLSN <= 1 {
 		return 0
 	}
 	return w.segs[0].firstLSN
@@ -716,9 +724,7 @@ func (w *WAL) Stats() Stats {
 		Segments:      len(w.segs),
 		TruncatedSegs: w.truncatedSegs,
 	}
-	if len(w.segs) > 0 && w.nextLSN > w.segs[0].firstLSN {
-		st.FirstLSN = w.segs[0].firstLSN
-	}
+	st.FirstLSN = w.firstLSNLocked()
 	return st
 }
 

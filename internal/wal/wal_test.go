@@ -504,3 +504,43 @@ func TestCursorTailsAcrossRolls(t *testing.T) {
 		t.Fatal("cursor did not report the gap after compaction")
 	}
 }
+
+// TestFirstLSNAfterFullCompaction pins the retained-window start once
+// compaction has removed every record and the active segment is still
+// empty: FirstLSN reports the next LSN to be appended, not 0, so a
+// reader positioned below it (a replication follower) still sees the
+// gap instead of mistaking the journal for a fresh one.
+func TestFirstLSNAfterFullCompaction(t *testing.T) {
+	w := openTest(t, t.TempDir(), ModeSync, 64)
+	defer w.Close()
+	if first := w.FirstLSN(); first != 0 {
+		t.Fatalf("FirstLSN of a fresh journal = %d, want 0", first)
+	}
+	activeEmpty := func() bool {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return len(w.segs) > 1 && w.segs[len(w.segs)-1].firstLSN == w.nextLSN
+	}
+	// Append one record at a time until the committer rolls to a fresh
+	// segment with nothing in it yet.
+	deadline := time.Now().Add(5 * time.Second)
+	for !activeEmpty() {
+		if time.Now().After(deadline) {
+			t.Fatal("the active segment never rolled over empty")
+		}
+		appendN(t, w, 1, "roll")
+		for wait := time.Now().Add(50 * time.Millisecond); !activeEmpty() && time.Now().Before(wait); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	last := w.LastLSN()
+	if removed := w.TruncateBefore(last); removed == 0 {
+		t.Fatal("TruncateBefore(LastLSN) removed nothing")
+	}
+	if first := w.FirstLSN(); first != last+1 {
+		t.Errorf("FirstLSN after full compaction = %d, want %d", first, last+1)
+	}
+	if st := w.Stats(); st.Segments != 1 || st.FirstLSN != last+1 {
+		t.Errorf("Stats after full compaction = %+v, want 1 segment starting at %d", st, last+1)
+	}
+}
