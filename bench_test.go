@@ -734,8 +734,20 @@ func BenchmarkPipelineDay(b *testing.B) {
 // benchSpanFeatures is a realistic 8-bit job span for featurization
 // benchmarks (large enough that the pair/triple crosses dominate).
 func benchSpanFeatures() *core.JobFeatures {
+	return benchSpanOf(3, 9, 17, 24, 31, 40, 52, 63)
+}
+
+// benchSpan19Features is the served shape: the open-loop benchmark's
+// generated spans have a median of 19 bits, which featurize to 122
+// context IDs (19 bits, 60 capped pairs, 40 capped triples, the span
+// identity, rows, bytes) against 20 actions.
+func benchSpan19Features() *core.JobFeatures {
+	return benchSpanOf(2, 5, 11, 14, 20, 27, 33, 38, 41, 47, 58, 64, 71, 79, 88, 95, 103, 117, 126)
+}
+
+func benchSpanOf(bits ...int) *core.JobFeatures {
 	var f core.JobFeatures
-	for _, bit := range []int{3, 9, 17, 24, 31, 40, 52, 63} {
+	for _, bit := range bits {
 		f.Span.Set(bit)
 	}
 	f.RowCount = 1e7
@@ -762,29 +774,35 @@ func BenchmarkContextFeatures(b *testing.B) {
 	})
 }
 
-// BenchmarkBanditRank measures one Rank decision. The prehashed arm is
+// BenchmarkBanditRank measures one Rank decision. The prehashed arms are
 // the pipeline/serve hot path: context and actions carry pre-hashed IDs,
-// so Rank mixes integers without touching a string. The seed-strings arm
-// reproduces the seed's per-rank cost: fmt.Sprintf featurization plus
-// per-rank FNV hashing of every token inside Rank.
+// so Rank mixes integers without touching a string — on the 8-bit
+// fixture and on the served 19-bit shape (122 context IDs × 20 actions,
+// ~12,300 weight pairs). The seed-strings arm reproduces the seed's
+// per-rank cost: fmt.Sprintf featurization plus per-rank FNV hashing of
+// every token inside Rank.
 func BenchmarkBanditRank(b *testing.B) {
 	cat := rules.NewCatalog()
 	f := benchSpanFeatures()
 	cfg := bandit.DefaultConfig(1)
 	cfg.MaxLogEvents = 4096
 
-	b.Run("prehashed", func(b *testing.B) {
-		svc := bandit.New(cfg)
-		ctx := core.ContextFeatures(f)
-		actions, _ := core.ActionsFor(cat, f)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := svc.Rank(ctx, actions); err != nil {
-				b.Fatal(err)
+	prehashed := func(f *core.JobFeatures) func(b *testing.B) {
+		return func(b *testing.B) {
+			svc := bandit.New(cfg)
+			ctx := core.ContextFeatures(f)
+			actions, _ := core.ActionsFor(cat, f)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := svc.Rank(ctx, actions); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("prehashed", prehashed(f))
+	b.Run("prehashed-span19", prehashed(benchSpan19Features()))
 	b.Run("seed-strings", func(b *testing.B) {
 		svc := bandit.New(cfg)
 		b.ReportAllocs()
@@ -810,6 +828,36 @@ func BenchmarkBanditRank(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkBanditTrain measures one Train call over 256 rewarded events
+// of the served 19-bit shape at the default 4 SGD epochs (1,024 example
+// updates of ~615 weight pairs each). Ranking and rewarding the batch is
+// set-up, outside the timer; -benchmem shows what the updates allocate.
+func BenchmarkBanditTrain(b *testing.B) {
+	cat := rules.NewCatalog()
+	f := benchSpan19Features()
+	ctx := core.ContextFeatures(f)
+	actions, _ := core.ActionsFor(cat, f)
+	svc := bandit.New(bandit.DefaultConfig(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < 256; j++ {
+			r, err := svc.Rank(ctx, actions)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := svc.Reward(r.EventID, float64(j%5)/4); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if n := svc.Train(); n != 256 {
+			b.Fatalf("Train consumed %d events, want 256", n)
+		}
+	}
 }
 
 // BenchmarkWALAppend measures the durable reward journal's raw append

@@ -117,7 +117,11 @@ type Event struct {
 
 // Config parameterizes the service.
 type Config struct {
-	// Dim is the hashed weight dimension (power of two recommended).
+	// Dim is the hashed weight dimension. A power of two (the default,
+	// and what New substitutes for Dim <= 0) reduces pair hashes with a
+	// mask; any other dim — e.g. from an old snapshot — still loads and
+	// scores identically via modulo, only slower. Load rejects a
+	// snapshot whose dim lies outside [1, 1<<26].
 	Dim int
 	// Epsilon is the exploration rate of the learned policy.
 	Epsilon float64
@@ -158,10 +162,14 @@ func DefaultConfig(seed int64) Config {
 type Service struct {
 	cfg Config
 
-	// mu guards the weight vector w: read-locked for scoring, write-locked
-	// for SGD updates and deserialization.
+	// mu guards the weight vector w and idxBuf: read-locked for scoring,
+	// write-locked for SGD updates and deserialization.
 	mu sync.RWMutex
 	w  []float64
+	// idxBuf is update's reusable pair-index buffer (write-locked mu),
+	// so SGD epochs allocate nothing once it has grown to the largest
+	// example.
+	idxBuf []int
 
 	// rngMu guards the exploration rng (lock ordering: never held together
 	// with mu or evMu).
@@ -344,31 +352,61 @@ func Mix64(x uint64) uint64 {
 	return x
 }
 
-// pairIndex mixes one context feature ID with one action feature ID into
-// a weight index. The combine is asymmetric (the action side is
-// pre-multiplied by the golden-ratio constant) so (c, a) and (a, c) land
-// on different weights, and the splitmix64 finalizer spreads the product
-// over the table.
-func (s *Service) pairIndex(c, a uint64) int {
-	return int(Mix64(c^(a*MixGamma)) % uint64(s.cfg.Dim))
+// slot reduces a pair hash to a weight index in [0, dim). Every dim New
+// and DefaultConfig produce is a power of two, where the mask equals
+// h % dim without the hardware divide; other dims (old snapshots) keep
+// the modulo.
+func slot(h, dim uint64) uint64 {
+	if dim&(dim-1) == 0 {
+		return h & (dim - 1)
+	}
+	return h % dim
 }
 
-// featureIndexes enumerates the weight indexes of the full cross product
-// (bias ∪ ctxIDs) × (bias ∪ actIDs); scoreIDs walks the same pairs
-// without materializing the slice.
-func (s *Service) featureIndexes(ctxIDs, actIDs []uint64) []int {
-	idx := make([]int, 0, (len(ctxIDs)+1)*(len(actIDs)+1))
-	idx = append(idx, s.pairIndex(ctxBiasID, actBiasID))
+// pairIndex mixes one context feature ID c with one action feature ID
+// into a weight index in [0, dim). The action side arrives
+// pre-multiplied by the golden-ratio constant (am = a*MixGamma, hoisted
+// out of the pair loops by premixActions), which makes the combine
+// asymmetric so (c, a) and (a, c) land on different weights; the
+// splitmix64 finalizer spreads the result over the table.
+func pairIndex(c, am, dim uint64) uint64 {
+	return slot(Mix64(c^am), dim)
+}
+
+// premixActions returns actIDs pre-multiplied by MixGamma, in buf when
+// it fits (the usual case: actions carry at most a handful of IDs).
+func premixActions(buf *[8]uint64, actIDs []uint64) []uint64 {
+	am := buf[:0]
+	if len(actIDs) > len(buf) {
+		am = make([]uint64, 0, len(actIDs))
+	}
 	for _, a := range actIDs {
-		idx = append(idx, s.pairIndex(ctxBiasID, a))
+		am = append(am, a*MixGamma)
+	}
+	return am
+}
+
+// appendFeatureIndexes appends the weight indexes of the full cross
+// product (bias ∪ ctxIDs) × (bias ∪ actIDs) to dst in the kernel's one
+// enumeration order — bias×bias, bias×each action ID, then for each
+// context ID its bias pair followed by its action pairs. scoreIDs sums
+// the same pairs in the same order, so a training prediction equals the
+// served score bit for bit.
+func (s *Service) appendFeatureIndexes(dst []int, ctxIDs, actIDs []uint64) []int {
+	var buf [8]uint64
+	am := premixActions(&buf, actIDs)
+	dim, bm := uint64(s.cfg.Dim), actBiasID*MixGamma
+	dst = append(dst, int(pairIndex(ctxBiasID, bm, dim)))
+	for _, m := range am {
+		dst = append(dst, int(pairIndex(ctxBiasID, m, dim)))
 	}
 	for _, c := range ctxIDs {
-		idx = append(idx, s.pairIndex(c, actBiasID))
-		for _, a := range actIDs {
-			idx = append(idx, s.pairIndex(c, a))
+		dst = append(dst, int(pairIndex(c, bm, dim)))
+		for _, m := range am {
+			dst = append(dst, int(pairIndex(c, m, dim)))
 		}
 	}
-	return idx
+	return dst
 }
 
 // Score returns the model's value estimate for an action in context.
@@ -379,20 +417,41 @@ func (s *Service) Score(ctx Context, a Action) float64 {
 	return s.scoreIDs(ctxIDs, actIDs)
 }
 
-// scoreIDs sums the weights of the pair cross product without allocating;
-// callers hold mu (read or write).
+// scoreIDs sums the weights of the pair cross product in
+// appendFeatureIndexes' enumeration order (the order is part of the
+// result: float addition does not reassociate), allocating nothing for
+// actions of up to 8 IDs. Callers hold mu (read or write).
 func (s *Service) scoreIDs(ctxIDs, actIDs []uint64) float64 {
-	sum := s.w[s.pairIndex(ctxBiasID, actBiasID)]
-	for _, a := range actIDs {
-		sum += s.w[s.pairIndex(ctxBiasID, a)]
+	var buf [8]uint64
+	am := premixActions(&buf, actIDs)
+	w, dim, bm := s.w, uint64(s.cfg.Dim), actBiasID*MixGamma
+	sum := w[pairIndex(ctxBiasID, bm, dim)]
+	for _, m := range am {
+		sum += w[pairIndex(ctxBiasID, m, dim)]
 	}
 	for _, c := range ctxIDs {
-		sum += s.w[s.pairIndex(c, actBiasID)]
-		for _, a := range actIDs {
-			sum += s.w[s.pairIndex(c, a)]
+		sum += w[pairIndex(c, bm, dim)]
+		for _, m := range am {
+			sum += w[pairIndex(c, m, dim)]
 		}
 	}
 	return sum
+}
+
+// scoreActions scores every action under one read lock and returns the
+// scores with the index of the first maximum — the greedy choice both
+// rank and RankGreedy start from.
+func (s *Service) scoreActions(ctxIDs []uint64, actions []Action) (scores []float64, best int) {
+	scores = make([]float64, len(actions))
+	s.mu.RLock()
+	for i, a := range actions {
+		scores[i] = s.scoreIDs(ctxIDs, a.featureIDs())
+		if scores[i] > scores[best] {
+			best = i
+		}
+	}
+	s.mu.RUnlock()
+	return scores, best
 }
 
 // Rank selects an action with the learned epsilon-greedy policy and logs
@@ -423,17 +482,7 @@ func (s *Service) RankGreedy(ctx Context, actions []Action) (Ranked, error) {
 	if len(actions) == 0 {
 		return Ranked{}, errors.New("bandit: no actions")
 	}
-	ctxIDs := ctx.featureIDs()
-	scores := make([]float64, len(actions))
-	best := 0
-	s.mu.RLock()
-	for i, a := range actions {
-		scores[i] = s.scoreIDs(ctxIDs, a.featureIDs())
-		if scores[i] > scores[best] {
-			best = i
-		}
-	}
-	s.mu.RUnlock()
+	scores, best := s.scoreActions(ctx.featureIDs(), actions)
 	k := float64(len(actions))
 	return Ranked{Chosen: best, Prob: (1 - s.cfg.Epsilon) + s.cfg.Epsilon/k, Scores: scores}, nil
 }
@@ -447,16 +496,7 @@ func (s *Service) rank(ctx Context, actions []Action, uniform bool) (Ranked, err
 	// featurizers hand IDs in directly, making this free.
 	ctxIDs := ctx.featureIDs()
 	ctx.IDs = ctxIDs // logged events carry the resolved form
-	scores := make([]float64, k)
-	best := 0
-	s.mu.RLock()
-	for i, a := range actions {
-		scores[i] = s.scoreIDs(ctxIDs, a.featureIDs())
-		if scores[i] > scores[best] {
-			best = i
-		}
-	}
-	s.mu.RUnlock()
+	scores, best := s.scoreActions(ctxIDs, actions)
 
 	s.rngMu.Lock()
 	explore := !uniform && s.rng.Float64() < s.cfg.Epsilon
@@ -571,9 +611,11 @@ func (s *Service) Train() int {
 }
 
 // update applies an importance-weighted regression step toward the
-// observed reward for the chosen action. Callers hold mu.
+// observed reward for the chosen action. Callers hold mu write-locked
+// (the update refills idxBuf).
 func (s *Service) update(ex trainExample) {
-	idx := s.featureIndexes(ex.ctxIDs, ex.actIDs)
+	s.idxBuf = s.appendFeatureIndexes(s.idxBuf[:0], ex.ctxIDs, ex.actIDs)
+	idx := s.idxBuf
 	pred := 0.0
 	for _, i := range idx {
 		pred += s.w[i]

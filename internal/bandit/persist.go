@@ -112,6 +112,13 @@ func parseIDs(s string) ([]uint64, error) {
 	return ids, nil
 }
 
+// maxDim caps the weight dimension a snapshot header may declare. Load
+// allocates the dense weight vector up front, so an unchecked header dim
+// from a corrupt file or a bootstrap stream could demand terabytes — an
+// out-of-memory fatal error no recover catches. 1<<26 float64 weights is
+// 512 MiB, 256× the default dim.
+const maxDim = 1 << 26
+
 // Load restores a service saved with Save. The seed drives the
 // restored service's exploration randomness (exploration state is not
 // part of the model).
@@ -140,6 +147,9 @@ func Load(r io.Reader, seed int64) (*Service, error) {
 		&version, &dim, &eps, &lr, &clip, &walLSN)
 	if n < 5 {
 		return nil, fmt.Errorf("bandit: bad model header %q", header)
+	}
+	if dim <= 0 || dim > maxDim {
+		return nil, fmt.Errorf("bandit: bad dim %d in model header (want 1..%d)", dim, maxDim)
 	}
 	switch version {
 	case 1, 2:

@@ -2,6 +2,7 @@ package bandit
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -103,16 +104,28 @@ func TestLoadMalformedEdgeCases(t *testing.T) {
 	cases := []struct {
 		name string
 		data string
+		want string // error substring, when the failure must be specific
 	}{
-		{"truncated header", "qoadvisor-bandit v1 dim=4096\n"},
-		{"wrong field count", "qoadvisor-bandit v1 dim=4096 epsilon=0.1 lr=0.05 clip=50\n12 0.5 extra\n"},
-		{"negative index", "qoadvisor-bandit v1 dim=4096 epsilon=0.1 lr=0.05 clip=50\n-3 0.5\n"},
-		{"index equals dim", "qoadvisor-bandit v1 dim=4096 epsilon=0.1 lr=0.05 clip=50\n4096 0.5\n"},
+		{"truncated header", "qoadvisor-bandit v1 dim=4096\n", ""},
+		{"wrong field count", "qoadvisor-bandit v1 dim=4096 epsilon=0.1 lr=0.05 clip=50\n12 0.5 extra\n", ""},
+		{"negative index", "qoadvisor-bandit v1 dim=4096 epsilon=0.1 lr=0.05 clip=50\n-3 0.5\n", ""},
+		{"index equals dim", "qoadvisor-bandit v1 dim=4096 epsilon=0.1 lr=0.05 clip=50\n4096 0.5\n", ""},
+		// The header dim sizes an up-front allocation: a huge one must
+		// fail as an error, not as an unrecoverable out-of-memory crash,
+		// and a non-positive one must not silently load a default model.
+		{"dim zero", "qoadvisor-bandit v3 dim=0 epsilon=0.1 lr=0.05 clip=50 wal=0\n", "bad dim"},
+		{"dim negative", "qoadvisor-bandit v3 dim=-3 epsilon=0.1 lr=0.05 clip=50 wal=0\n", "bad dim"},
+		{"dim 2^40", "qoadvisor-bandit v3 dim=1099511627776 epsilon=0.1 lr=0.05 clip=50 wal=0\n", "bad dim"},
+		{"dim above ceiling", fmt.Sprintf("qoadvisor-bandit v2 dim=%d epsilon=0.1 lr=0.05 clip=50\n", maxDim+1), "bad dim"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Load(strings.NewReader(tc.data), 1); err == nil {
-				t.Errorf("Load(%q) succeeded, want error", tc.data)
+			_, err := Load(strings.NewReader(tc.data), 1)
+			if err == nil {
+				t.Fatalf("Load(%q) succeeded, want error", tc.data)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Load(%q) = %v, want an error containing %q", tc.data, err, tc.want)
 			}
 		})
 	}
